@@ -1,10 +1,10 @@
 """Benchmark backing Table 5 (DistDGL track).
 
 Measures one Table 5 cell end to end: partition the EN stand-in with the
-METIS-like partitioner, plan the epoch's mini-batches, run one Spark
-sampling epoch (3-layer GraphSage fanouts), and evaluate the phase-time
-model. Regenerate the full table with
-``python jobs/table5_distdgl_amortization.py``.
+METIS-like partitioner, plan the epoch's mini-batches, run one sampling
+epoch (3-layer GraphSage fanouts; a driver-side CSR sampler over the
+collected Spark edge table), and evaluate the phase-time model. Regenerate
+the full table with ``python jobs/table5_distdgl_amortization.py``.
 """
 import pytest
 

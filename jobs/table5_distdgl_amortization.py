@@ -2,7 +2,7 @@
 
 Runs the DistDGL suite (GraphSage, global batch 64, full feature/hidden/
 layers grid) over all five graphs and six vertex partitioners on k=8
-workers — every row backed by a really-executed Spark sampling epoch —
+workers — every row backed by a really-executed sampling epoch —
 then emits:
 
 * ``table5`` — average epochs until partitioning amortizes (paper Table 5);

@@ -5,8 +5,9 @@ Two suites mirror the paper's two tracks:
 * :func:`run_distgnn_suite` — edge partitioners (vertex-cut), full-batch
   GraphSage; pure driver computation fed by really-executed partition runs.
 * :func:`run_distdgl_suite` — vertex partitioners (edge-cut), mini-batch
-  GraphSage/GCN/GAT; every row is fed by a really-executed Spark sampling
-  epoch on the partitioned graph.
+  GraphSage/GCN/GAT; every row is fed by a really-executed sampling epoch
+  on the partitioned graph (a driver-side CSR sampler over the collected
+  Spark edge table).
 
 Partition runs and sampling epochs are cached per (graph, partitioner, k)
 inside a suite invocation so the hyper-parameter grid never re-runs the
@@ -163,8 +164,7 @@ def run_distdgl_suite(
 ) -> pd.DataFrame:
     """DistDGL track: one row per (graph, partitioner, k, config).
 
-    The expensive pieces (partitioning, one Spark-executed sampling epoch
-    per layer count) run once per (graph, partitioner, k); feature/hidden
+    The expensive pieces (partitioning, one sampling epoch per layer count) run once per (graph, partitioner, k); feature/hidden
     sweeps reuse them, mirroring how those knobs don't change the sampled
     graph.
     """

@@ -1,4 +1,4 @@
-"""DistDGL-style k-hop mini-batch neighborhood sampling on Spark.
+"""DistDGL-style k-hop mini-batch neighborhood sampling.
 
 DistDGL trains mini-batch GNNs over a vertex-partitioned (edge-cut) graph:
 each worker owns one partition, samples the k-hop neighborhood of its local
@@ -8,24 +8,26 @@ all come from this pipeline: sampled-edge counts (computation-graph size),
 input-vertex balance (Figure 14), remote vertices (Figures 24b, 26c) and
 the phase-time decomposition built on top of them.
 
-The sampler here executes the per-layer expansion as a Catalyst plan —
-join the frontier against the adjacency, keep ``fanout`` random neighbors
-per (worker, step, source) via a windowed ``row_number`` — and collects the
-(small) sampled-edge table to the driver, where the per-step statistics
-are computed with numpy. Paper fanouts (Section 5.1): 2-layer (25, 20),
-3-layer (15, 10, 5), 4-layer (10, 10, 5, 5); global batch size 1024 split
-evenly across workers.
+The sampler is a driver-side CSR sampler over the collected Spark edge
+table, after DGL's per-seed ``sample_neighbors``: the symmetrized edge table
+is collected once, turned into a CSR adjacency, and every (worker, step)
+frontier is expanded hop by hop with numpy. A source with more neighbours
+than the hop's fanout keeps the ``fanout`` neighbours of smallest rank,
+ties broken by ``dst``; the rank is a 32-bit hash of
+(seed, hop, worker, step, src, dst), so the sample depends on nothing but
+its inputs. The per-step statistics are computed with numpy too. Paper
+fanouts (Section 5.1): 2-layer (25, 20), 3-layer (15, 10, 5), 4-layer
+(10, 10, 5, 5); global batch size 1024 split evenly across workers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
-from pyspark.sql import functions as F
-from pyspark.sql import types as T
+from pyspark.sql import DataFrame, SparkSession
+
+from repro.partitioning.edge.random_ep import splitmix64
 
 #: Paper Section 5.1 fanout schedules, keyed by number of layers.
 FANOUTS: dict[int, tuple[int, ...]] = {
@@ -33,15 +35,6 @@ FANOUTS: dict[int, tuple[int, ...]] = {
     3: (15, 10, 5),
     4: (10, 10, 5, 5),
 }
-
-SEED_SCHEMA = T.StructType(
-    [
-        T.StructField("worker", T.LongType(), False),
-        T.StructField("step", T.LongType(), False),
-        T.StructField("vertex", T.LongType(), False),
-    ]
-)
-
 
 @dataclass
 class EpochSamplingStats:
@@ -121,32 +114,88 @@ def sample_epoch(
 
     ``sym_edges`` holds both directions of every edge (src, dst) so the
     sampler expands over undirected neighborhoods like DGL does on the
-    symmetrized graphs of the study.
+    symmetrized graphs of the study; it is collected once, through Arrow.
+    ``spark`` is not used: the collect runs on ``sym_edges``'s session.
+
+    The hop-``l`` frontier of a (worker, step) is its seeds plus every dst
+    it sampled at hops ``< l``, so each hop re-expands the whole frontier.
     """
     k = int(owner_of.max()) + 1 if len(owner_of) else 1
-    seeds_sdf = spark.createDataFrame(seeds, schema=SEED_SCHEMA)
-    frontier = seeds_sdf
-    layers = []
-    for lidx, fan in enumerate(fanouts):
-        cand = frontier.withColumnRenamed("vertex", "src").join(sym_edges, "src")
-        w = Window.partitionBy("worker", "step", "src").orderBy(
-            F.rand(seed * 131 + lidx)
-        )
-        samp = (
-            cand.withColumn("rn", F.row_number().over(w))
-            .where(F.col("rn") <= fan)
-            .select("worker", "step", "src", "dst", F.lit(lidx).alias("layer"))
-        )
-        layers.append(samp)
-        frontier = (
-            frontier.select("worker", "step", "vertex")
-            .unionAll(samp.select("worker", "step", F.col("dst").alias("vertex")))
-            .distinct()
-        )
-    all_sampled = reduce(DataFrame.unionAll, layers).toPandas()
-    return _stats_from_sampled(
-        seeds, all_sampled, owner_of, len(fanouts), k, global_batch or 0
+    edges = sym_edges.select("src", "dst").toPandas()
+    src = edges["src"].to_numpy(np.int64)
+    dst = edges["dst"].to_numpy(np.int64)
+    del edges
+    deg = np.bincount(src, minlength=len(owner_of))
+    n = len(deg)
+    # CSR with each adjacency list sorted by dst, so ties in rank go to the
+    # smaller dst under a stable sort.
+    nbr = dst[np.argsort(src * n + dst)]
+    del src, dst
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+
+    # A frontier entry is one int64 key, (worker * n_steps + step) * n + vertex.
+    n_steps = int(seeds["step"].max()) + 1 if len(seeds) else 1
+    ws = seeds["worker"].to_numpy(np.int64) * n_steps + seeds["step"].to_numpy(np.int64)
+    frontier = np.unique(ws * n + seeds["vertex"].to_numpy(np.int64))
+    parts = []  # per hop: (worker * n_steps + step, src, dst)
+    for hop, fan in enumerate(fanouts):
+        ws, v = np.divmod(frontier, n)
+        row, cand = _expand(indptr, nbr, v)
+        keep = deg[v][row] <= fan
+        capped = np.flatnonzero(~keep)
+        if len(capped):
+            # The rank is the top 32 bits of a splitmix64 fold over
+            # (seed, hop, worker, step, src, dst). A source's candidates are
+            # contiguous and sorted by dst, so one stable sort by
+            # (source, rank) breaks rank ties by dst.
+            worker, step = np.divmod(ws, n_steps)
+            prefix = splitmix64(np.uint64([seed]))
+            for field in (hop, worker, step, v):
+                prefix = _fold(prefix, field)
+            seg = row[capped]
+            rank = _fold(prefix[seg], cand[capped]) >> np.uint64(32)
+            # Valid while the frontier holds fewer than 2**32 entries.
+            key = (seg.astype(np.uint64) << np.uint64(32)) | rank
+            order = np.argsort(key, kind="stable")
+            del key, rank
+            first = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+            within = np.arange(len(seg)) - np.repeat(first, np.diff(np.r_[first, len(seg)]))
+            keep[capped[order[within < fan]]] = True
+            del seg, order, within
+        row, cand = row[keep], cand[keep]
+        hop_ws = ws[row]
+        parts.append((hop_ws, v[row], cand))
+        frontier = np.union1d(frontier, hop_ws * n + cand)
+    out_ws, out_src, out_dst = (np.concatenate(c) for c in zip(*parts))
+    sampled = pd.DataFrame(
+        {
+            "worker": out_ws // n_steps,
+            "step": out_ws % n_steps,
+            "src": out_src,
+            "dst": out_dst,
+            "layer": np.repeat(np.arange(len(parts)), [len(p[0]) for p in parts]),
+        }
     )
+    return _stats_from_sampled(
+        seeds, sampled, owner_of, len(fanouts), k, global_batch or 0
+    )
+
+
+def _expand(
+    indptr: np.ndarray, nbr: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every neighbour of ``v`` as (index into ``v``, neighbour), grouped by ``v``."""
+    start = indptr[v]
+    deg = indptr[v + 1] - start
+    row = np.repeat(np.arange(len(v)), deg)
+    pos = np.arange(len(row)) + np.repeat(start - (np.cumsum(deg) - deg), deg)
+    return row, nbr[pos]
+
+
+def _fold(h: np.ndarray, x) -> np.ndarray:
+    """Absorb one field into a running splitmix64 hash."""
+    return splitmix64(h ^ np.asarray(x).astype(np.uint64))
 
 
 def _stats_from_sampled(
@@ -179,16 +228,11 @@ def _stats_from_sampled(
         owner_of[first["vertex"].to_numpy()] != first["worker"].to_numpy()
     )
     first["accesses"] = np.maximum(0, n_layers - first["first"].to_numpy())
-    grouped = first.groupby(["worker", "step"])
-    per_step = grouped.agg(
+    first["remote_accesses"] = first["accesses"] * first["remote"]
+    per_step = first.groupby(["worker", "step"]).agg(
         input_vertices=("vertex", "size"),
         remote_inputs=("remote", "sum"),
-        remote_accesses=(
-            "accesses",
-            lambda s: int(
-                (s * first.loc[s.index, "remote"]).sum()
-            ),
-        ),
+        remote_accesses=("remote_accesses", "sum"),
     ).reset_index()
     edge_counts = (
         sampled.groupby(["worker", "step"]).size().rename("sampled_edges").reset_index()
