@@ -129,6 +129,16 @@ def run_distgnn_suite(
     )
 
 
+#: %-of-Random column prefix of each baseline metric, in output column order.
+PCT_OF_RANDOM = {
+    "mem_max_bytes": "mem",
+    "network_bytes": "net",
+    "rf": "rf",
+    "remote_inputs": "remote",
+    "edge_cut": "cut",
+}
+
+
 def _with_random_baseline(
     df: pd.DataFrame, keys: list[str], cols: list[str]
 ) -> pd.DataFrame:
@@ -140,10 +150,9 @@ def _with_random_baseline(
     )
     out = df.join(base, on=keys)
     out["speedup"] = out["epoch_seconds_random"] / out["epoch_seconds"]
-    out["mem_pct_of_random"] = 100.0 * out["mem_max_bytes"] / out["mem_max_bytes_random"]
-    out["net_pct_of_random"] = 100.0 * out["network_bytes"] / out["network_bytes_random"]
-    if "rf" in cols:
-        out["rf_pct_of_random"] = 100.0 * out["rf"] / out["rf_random"]
+    for col, prefix in PCT_OF_RANDOM.items():
+        if col in cols:
+            out[f"{prefix}_pct_of_random"] = 100.0 * out[col] / out[f"{col}_random"]
     return out
 
 
@@ -182,6 +191,8 @@ def run_distdgl_suite(
                 owner = (
                     run.assignment.set_index("vertex")["part"].sort_index().to_numpy()
                 )
+                # The edges are already in pandas; Fig 12's Spark plan
+                # (quality.edge_cut_quality) would add Spark jobs to every row.
                 part_of = run.assignment.set_index("vertex")["part"]
                 cut = float(
                     (
@@ -226,18 +237,7 @@ def run_distdgl_suite(
                             }
                         )
     df = pd.DataFrame(rows)
-    base = (
-        df[df["partitioner"] == "Random"]
-        .set_index(["graph", "k", "feature", "hidden", "layers", "global_batch"])[
-            ["epoch_seconds", "network_bytes", "remote_inputs", "edge_cut"]
-        ]
-        .add_suffix("_random")
+    return _with_random_baseline(
+        df, ["graph", "k", "feature", "hidden", "layers", "global_batch"],
+        ["epoch_seconds", "network_bytes", "remote_inputs", "edge_cut"],
     )
-    out = df.join(base, on=["graph", "k", "feature", "hidden", "layers", "global_batch"])
-    out["speedup"] = out["epoch_seconds_random"] / out["epoch_seconds"]
-    out["net_pct_of_random"] = 100.0 * out["network_bytes"] / out["network_bytes_random"]
-    out["remote_pct_of_random"] = (
-        100.0 * out["remote_inputs"] / out["remote_inputs_random"]
-    )
-    out["cut_pct_of_random"] = 100.0 * out["edge_cut"] / out["edge_cut_random"]
-    return out

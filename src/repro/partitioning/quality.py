@@ -1,14 +1,12 @@
-"""Partitioning-quality metrics (paper Section 2.1) in Spark SQL.
+"""Edge-cut partitioning-quality metrics (paper Section 2.1) in Spark SQL.
 
-Vertex-cut metrics: replication factor ``RF = (1/|V|) * Σ_i |V(p_i)|``,
-edge balance ``EB = max|p_i| / mean|p_i|`` and vertex balance over the
-covered vertex sets ``V(p_i)``.
+Edge-cut ratio ``λ = |E_cut| / |E|``, vertex balance over partition sizes,
+and training-vertex balance (DistDGL section), computed with DataFrame
+aggregations (Catalyst); the tests oracle-check the cut plan against the
+same SQL on DuckDB.
 
-Edge-cut metrics: edge-cut ratio ``λ = |E_cut| / |E|``, vertex balance over
-partition sizes, and training-vertex balance (DistDGL section).
-
-All metrics are computed with DataFrame aggregations (Catalyst); the tests
-oracle-check each one against the same SQL on DuckDB.
+The vertex-cut metrics (replication factor, edge and vertex balance) have
+one implementation, :func:`repro.simulate.distgnn.partition_stats`.
 """
 from __future__ import annotations
 
@@ -16,18 +14,6 @@ from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-
-
-@dataclass(frozen=True)
-class VertexCutQuality:
-    k: int
-    n_vertices: int
-    n_edges: int
-    replication_factor: float
-    edge_balance: float
-    vertex_balance: float
-    edges_per_part: list[int]
-    vertices_per_part: list[int]
 
 
 @dataclass(frozen=True)
@@ -40,40 +26,6 @@ class EdgeCutQuality:
     train_vertex_balance: float | None
     vertices_per_part: list[int]
     cut_edges: int
-
-
-def covered_vertices(assign: DataFrame) -> DataFrame:
-    """``V(p_i)``: distinct (part, vertex) pairs covered by a vertex-cut."""
-    return (
-        assign.select("part", F.col("src").alias("vertex"))
-        .unionAll(assign.select("part", F.col("dst").alias("vertex")))
-        .distinct()
-    )
-
-
-def vertex_cut_quality(assign: DataFrame, k: int) -> VertexCutQuality:
-    """Quality of an edge-partitioning run from its (src, dst, part) table."""
-    epp_rows = assign.groupBy("part").agg(F.count("*").alias("n_edges")).collect()
-    epp = {int(r["part"]): int(r["n_edges"]) for r in epp_rows}
-    cov = covered_vertices(assign)
-    vpp_rows = cov.groupBy("part").agg(F.count("*").alias("n_vertices")).collect()
-    vpp = {int(r["part"]): int(r["n_vertices"]) for r in vpp_rows}
-    n_vertices = cov.select("vertex").distinct().count()
-    edges_per_part = [epp.get(p, 0) for p in range(k)]
-    vertices_per_part = [vpp.get(p, 0) for p in range(k)]
-    n_edges = sum(edges_per_part)
-    mean_e = n_edges / k
-    mean_v = sum(vertices_per_part) / k
-    return VertexCutQuality(
-        k=k,
-        n_vertices=n_vertices,
-        n_edges=n_edges,
-        replication_factor=sum(vertices_per_part) / max(1, n_vertices),
-        edge_balance=max(edges_per_part) / mean_e if mean_e else float("nan"),
-        vertex_balance=max(vertices_per_part) / mean_v if mean_v else float("nan"),
-        edges_per_part=edges_per_part,
-        vertices_per_part=vertices_per_part,
-    )
 
 
 def edge_cut_quality(
@@ -89,14 +41,8 @@ def edge_cut_quality(
     ``split`` optionally has (vertex, role) to compute the training-vertex
     balance the paper measures for DistDGL.
     """
-    a_src = assign.withColumnRenamed("vertex", "src").withColumnRenamed("part", "part_src")
-    a_dst = assign.withColumnRenamed("vertex", "dst").withColumnRenamed("part", "part_dst")
-    joined = edges.join(a_src, "src").join(a_dst, "dst")
-    agg = joined.agg(
-        F.count("*").alias("n_edges"),
-        F.sum((F.col("part_src") != F.col("part_dst")).cast("long")).alias("cut"),
-    ).collect()[0]
-    n_edges, cut = int(agg["n_edges"]), int(agg["cut"] or 0)
+    agg = cut_edges_df(edges, assign).collect()[0]
+    n_edges, cut = int(agg["n_edges"]), int(agg["cut_edges"] or 0)
 
     vpp_rows = assign.groupBy("part").agg(F.count("*").alias("n")).collect()
     vpp = {int(r["part"]): int(r["n"]) for r in vpp_rows}
@@ -129,15 +75,8 @@ def edge_cut_quality(
     )
 
 
-def replication_factor_df(assign: DataFrame) -> DataFrame:
-    """Per-part |V(p_i)| as a DataFrame — used by the DuckDB oracle tests."""
-    return covered_vertices(assign).groupBy("part").agg(
-        F.count("*").alias("n_vertices")
-    )
-
-
 def cut_edges_df(edges: DataFrame, assign: DataFrame) -> DataFrame:
-    """One-row DataFrame (n_edges, cut_edges) — used by the oracle tests."""
+    """One-row DataFrame (n_edges, cut_edges): the plan ``edge_cut_quality`` runs."""
     a_src = assign.withColumnRenamed("vertex", "src").withColumnRenamed("part", "part_src")
     a_dst = assign.withColumnRenamed("vertex", "dst").withColumnRenamed("part", "part_dst")
     return (

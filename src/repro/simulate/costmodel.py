@@ -34,6 +34,26 @@ from dataclasses import dataclass
 BYTES_PER_SCALAR = 4
 
 
+def layer_flops(
+    kind: str, n_vertices: int, n_edges: int, d_in: int, d_out: int
+) -> float:
+    """Approximate forward flops of one GNN layer.
+
+    Dense transform: 2 * n * d_in * d_out (x2 for GraphSage's two weight
+    matrices); aggregation: ~2 * m * d; GAT pays an extra attention term
+    per edge.
+    """
+    dense = 2.0 * n_vertices * d_in * d_out
+    agg = 2.0 * n_edges * d_in
+    if kind == "sage":
+        return 2 * dense + agg
+    if kind == "gcn":
+        return dense + agg
+    if kind == "gat":
+        return dense + 2.0 * n_edges * (2 * d_out + 4) + agg
+    raise ValueError(kind)
+
+
 @dataclass(frozen=True)
 class ClusterModel:
     """Machine constants of the simulated training cluster."""

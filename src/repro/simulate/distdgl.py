@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-from repro.gnn.layers import layer_flops
 from repro.gnn.sampling import EpochSamplingStats, sampled_edges_per_layer
-from repro.simulate.costmodel import BYTES_PER_SCALAR, ClusterModel
+from repro.simulate.costmodel import BYTES_PER_SCALAR, ClusterModel, layer_flops
 from repro.simulate.distgnn import GNNConfig
 
 

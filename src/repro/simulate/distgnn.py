@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-from repro.gnn.layers import layer_flops
-from repro.simulate.costmodel import BYTES_PER_SCALAR, ClusterModel
+from repro.simulate.costmodel import BYTES_PER_SCALAR, ClusterModel, layer_flops
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,13 @@
-"""Tests for the DuckDB oracle itself and the provided TPC-H-lite generators.
+"""Tests for the DuckDB oracle itself.
 
-The oracle is the correctness backstop for every Spark SQL metric in the
-repro; these tests pin its semantics (including that it *fails* on wrong
-results). The TPC-H-lite generators ship with the scaffold; the paper's
-evaluation is on graphs, but we keep the OLAP generators exercised so the
-oracle pipeline is validated on classic shuffle-heavy aggregations too.
+The oracle is the correctness backstop for the partition-quality metrics
+in the repro; these tests pin its semantics (including that it *fails* on
+wrong results).
 """
-import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.oracle import assert_equivalent
 
 
@@ -40,39 +36,3 @@ class TestOracleSemantics:
         sdf = spark.createDataFrame(pdf)
         got = sdf.groupBy("k").agg(F.count("*").alias("c"))
         assert_equivalent(got, "SELECT k, COUNT(*) AS c FROM t GROUP BY k", t=sdf)
-
-
-class TestSynthData:
-    def test_lineitem_deterministic(self, spark):
-        a = synth_data.lineitem(spark, sf=0.001, seed=3).toPandas()
-        b = synth_data.lineitem(spark, sf=0.001, seed=3).toPandas()
-        pd.testing.assert_frame_equal(a, b)
-
-    def test_join_aggregation_oracle(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        o = synth_data.orders(spark, sf=0.001)
-        got = (
-            li.join(o, li["l_orderkey"] == o["o_orderkey"])
-            .groupBy("o_orderpriority")
-            .agg(F.sum("l_quantity").alias("qty"))
-        )
-        assert_equivalent(
-            got,
-            """
-            SELECT o_orderpriority, SUM(l_quantity) AS qty
-            FROM li JOIN o ON l_orderkey = o_orderkey
-            GROUP BY o_orderpriority
-            """,
-            li=li,
-            o=o,
-        )
-
-    def test_zipf_keys_are_skewed(self, spark):
-        df = synth_data.zipf_keys(spark, n=20000, n_keys=1000, alpha=1.2).toPandas()
-        counts = df["k"].value_counts()
-        assert counts.iloc[0] > 10 * counts.median()
-
-    def test_uniform_keys_are_flat(self, spark):
-        df = synth_data.uniform_keys(spark, n=20000, n_keys=100).toPandas()
-        counts = df["k"].value_counts()
-        assert counts.max() < 3 * counts.min()

@@ -1,4 +1,4 @@
-"""Spark-SQL quality metrics, oracle-checked against DuckDB (paper Sec 2.1)."""
+"""Partition-quality metrics, oracle-checked against DuckDB (paper Sec 2.1)."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -11,6 +11,7 @@ from repro.partitioning.base import assignment_to_spark, run_partitioner
 from repro.partitioning.edge.dbh import DBHPartitioner
 from repro.partitioning.edge.random_ep import RandomEdgePartitioner
 from repro.partitioning.vertex.random_vp import RandomVertexPartitioner
+from repro.simulate.distgnn import partition_stats
 
 
 @pytest.fixture(scope="module")
@@ -20,30 +21,64 @@ def graph(spark):
     return edges, n
 
 
+#: Covered (part, vertex) pairs ``V(p_i)`` of a vertex-cut assignment.
+COVERED_SQL = """
+    SELECT DISTINCT part, vertex FROM (
+      SELECT part, src AS vertex FROM assign
+      UNION ALL
+      SELECT part, dst AS vertex FROM assign
+    )
+"""
+
+
 class TestVertexCutQuality:
-    def test_replication_factor_df_matches_duckdb(self, spark, graph):
+    """``distgnn.partition_stats``, the one vertex-cut path, against DuckDB."""
+
+    K = 4
+
+    @pytest.fixture(scope="class")
+    def run(self, graph):
         edges, n = graph
-        run = run_partitioner(DBHPartitioner(), edges, 4, n_vertices=n)
-        assign = assignment_to_spark(spark, run)
-        got = quality.replication_factor_df(assign)
+        return run_partitioner(DBHPartitioner(), edges, self.K, n_vertices=n)
+
+    def test_per_part_stats_match_duckdb(self, run):
+        # A vertex's master is the lowest-numbered part covering it.
+        st = partition_stats(run.assignment, self.K)
+        got = pd.DataFrame(
+            {
+                "part": range(self.K),
+                "n_edges": st.edges,
+                "n_vertices": st.vertices,
+                "n_replicas": st.replicas,
+            }
+        )
         assert_equivalent(
             got,
-            """
-            SELECT part, COUNT(*) AS n_vertices FROM (
-              SELECT DISTINCT part, vertex FROM (
-                SELECT part, src AS vertex FROM assign
-                UNION ALL
-                SELECT part, dst AS vertex FROM assign
-              )
-            ) GROUP BY part
+            f"""
+            WITH cov AS ({COVERED_SQL}),
+            e AS (SELECT part, COUNT(*) AS n FROM assign GROUP BY part),
+            v AS (SELECT part, COUNT(*) AS n FROM cov GROUP BY part),
+            m AS (
+              SELECT part, COUNT(*) AS n FROM (
+                SELECT vertex, MIN(part) AS part FROM cov GROUP BY vertex
+              ) GROUP BY part
+            )
+            SELECT p.part,
+                   COALESCE(e.n, 0) AS n_edges,
+                   COALESCE(v.n, 0) AS n_vertices,
+                   COALESCE(v.n, 0) - COALESCE(m.n, 0) AS n_replicas
+            FROM (SELECT range AS part FROM range({self.K})) p
+            LEFT JOIN e ON e.part = p.part
+            LEFT JOIN v ON v.part = p.part
+            LEFT JOIN m ON m.part = p.part
             """,
             assign=run.assignment,
         )
 
-    def test_vertex_cut_quality_matches_pandas(self, spark, graph):
+    def test_vertex_cut_quality_matches_pandas(self, graph):
         edges, n = graph
         run = run_partitioner(RandomEdgePartitioner(), edges, 4, n_vertices=n)
-        q = quality.vertex_cut_quality(assignment_to_spark(spark, run), 4)
+        q = partition_stats(run.assignment, 4)
         a = run.assignment
         epp = a.groupby("part").size().reindex(range(4), fill_value=0)
         cov = pd.concat(
@@ -53,15 +88,15 @@ class TestVertexCutQuality:
             ]
         ).drop_duplicates()
         vpp = cov.groupby("part").size().reindex(range(4), fill_value=0)
-        assert q.edges_per_part == epp.tolist()
-        assert q.vertices_per_part == vpp.tolist()
+        assert q.edges.tolist() == epp.tolist()
+        assert q.vertices.tolist() == vpp.tolist()
         assert np.isclose(q.replication_factor, vpp.sum() / cov["v"].nunique())
         assert np.isclose(q.edge_balance, epp.max() / epp.mean())
         assert np.isclose(q.vertex_balance, vpp.max() / vpp.mean())
         assert q.n_edges == len(a)
         assert q.n_vertices == cov["v"].nunique()
 
-    def test_perfect_partition_rf_is_one(self, spark):
+    def test_perfect_partition_rf_is_one(self):
         # Two disjoint triangles, each on its own partition: RF == 1.
         a = pd.DataFrame(
             {
@@ -70,14 +105,11 @@ class TestVertexCutQuality:
                 "part": [0, 0, 0, 1, 1, 1],
             }
         )
-        run_like = assignment_to_spark(
-            spark,
-            type("R", (), {"cut_type": "vertex-cut", "assignment": a})(),
-        )
-        q = quality.vertex_cut_quality(run_like, 2)
-        assert q.replication_factor == 1.0
-        assert q.edge_balance == 1.0
-        assert q.vertex_balance == 1.0
+        st = partition_stats(a, 2)
+        assert st.replication_factor == 1.0
+        assert st.edge_balance == 1.0
+        assert st.vertex_balance == 1.0
+        assert st.replicas.tolist() == [0, 0]
 
 
 class TestEdgeCutQuality:

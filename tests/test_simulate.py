@@ -202,5 +202,11 @@ class TestAmortization:
         )
 
     def test_measured_variant_applies_penalty(self):
-        e = amortization.epochs_to_amortize_measured("HDRF", 40.0, 3.0, 1.0)
+        # The tables amortize the modelled time; with no edges to read it is
+        # the measured time divided by the interpreter penalty.
+        from repro.simulate.costmodel import partition_time_model
+
+        e = amortization.epochs_to_amortize(
+            partition_time_model("HDRF", 40.0, 0), 3.0, 1.0
+        )
         assert e == pytest.approx(40.0 / PYTHON_PENALTY["HDRF"] / 2.0)
