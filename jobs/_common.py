@@ -15,7 +15,12 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
 def make_session(app: str):
-    """Local SparkSession mirroring the conftest fixture's config."""
+    """Local SparkSession for the jobs.
+
+    It matches the conftest fixture's config except for the shuffle
+    partitions: 16 here, 64 in the fixture. The sampler's output does not
+    depend on that count; ``test_sampling`` pins it for 1, 16 and 64.
+    """
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "

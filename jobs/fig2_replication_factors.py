@@ -15,44 +15,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import pandas as pd
 
-from _common import make_session, save_and_print
-from repro.exp.harness import load_bundle
-from repro.partitioning.base import run_partitioner
-from repro.partitioning.registry import EDGE_PARTITIONERS, make_edge_partitioner
-from repro.simulate import distgnn
-from repro.simulate.costmodel import ClusterModel, partition_time_model
+from _common import save_and_print
+from repro.exp.harness import run_distgnn_suite
+from repro.simulate.distgnn import GNNConfig
+
+COLUMNS = [
+    "graph", "partitioner", "k", "replication_factor", "vertex_balance",
+    "edge_balance", "mem_balance", "partition_seconds", "partition_seconds_norm",
+]
 
 
 def run(spark=None, *, scale: float = 1e-3, seed: int = 0, ks=(4, 32)) -> dict[str, pd.DataFrame]:
-    cluster = ClusterModel()
-    cfg = distgnn.GNNConfig(feature=512, hidden=64, layers=3)
-    rows = []
-    for gname in ("HW", "DI", "EN", "EU", "OR"):
-        b = load_bundle(gname, scale=scale, seed=seed)
-        for k in ks:
-            for pname in EDGE_PARTITIONERS:
-                r = run_partitioner(
-                    make_edge_partitioner(pname), b.edges, k,
-                    n_vertices=b.n_vertices, seed=seed,
-                )
-                st = distgnn.partition_stats(r.assignment, k)
-                m = distgnn.epoch_metrics(st, cfg, cluster, scale=scale)
-                rows.append(
-                    {
-                        "graph": gname,
-                        "partitioner": pname,
-                        "k": k,
-                        "replication_factor": st.replication_factor,
-                        "vertex_balance": st.vertex_balance,
-                        "edge_balance": st.edge_balance,
-                        "mem_balance": m.mem_balance,
-                        "partition_seconds": r.seconds,
-                        "partition_seconds_norm": partition_time_model(
-                            pname, r.seconds, len(b.edges)
-                        ),
-                    }
-                )
-    df = pd.DataFrame(rows)
+    suite = run_distgnn_suite(
+        ks=ks, configs=[GNNConfig(feature=512, hidden=64, layers=3)], scale=scale, seed=seed
+    )
+    df = suite.rename(columns={"rf": "replication_factor"})[COLUMNS]
     rf = df.pivot_table(
         index=["graph", "partitioner"], columns="k", values="replication_factor"
     ).round(2)

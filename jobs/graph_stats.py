@@ -12,15 +12,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import pandas as pd
 
-from _common import make_session, save_and_print
-from repro.graphs.datasets import BENCH_SCALE, GRAPHS, load, summary
+from _common import save_and_print
+from repro.graphs.datasets import BENCH_SCALE, GRAPHS, generate, summary
 
 
-def run(spark, *, scale: float = BENCH_SCALE, seed: int = 0) -> dict[str, pd.DataFrame]:
+def run(spark=None, *, scale: float = BENCH_SCALE, seed: int = 0) -> dict[str, pd.DataFrame]:
     rows = []
     for name, spec in GRAPHS.items():
         n_v, n_e = spec.sizes(scale)
-        s = summary(spark, load(spark, name, scale=scale, seed=seed))
+        s = summary(generate(name, scale=scale, seed=seed))
         rows.append(
             {
                 "graph": name,
@@ -37,6 +37,4 @@ def run(spark, *, scale: float = BENCH_SCALE, seed: int = 0) -> dict[str, pd.Dat
 
 
 if __name__ == "__main__":
-    spark = make_session("graph_stats")
-    save_and_print("graph_stats", run(spark))
-    spark.stop()
+    save_and_print("graph_stats", run())

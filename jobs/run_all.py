@@ -24,7 +24,7 @@ import table4_distgnn_amortization
 import table5_distdgl_amortization
 
 JOBS = [
-    ("graph_stats", graph_stats.run, True),
+    ("graph_stats", graph_stats.run, False),
     ("fig2_replication_factors", fig2_replication_factors.run, False),
     ("table4_distgnn", table4_distgnn_amortization.run, False),
     ("fig12_edge_cut", fig12_edge_cut.run, True),

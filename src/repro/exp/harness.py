@@ -25,7 +25,7 @@ from pyspark.sql import SparkSession
 from repro.graphs.datasets import generate, n_vertices_of, split_vertices
 from repro.graphs.generators import symmetrized, to_spark, undirected_view
 from repro.gnn.sampling import FANOUTS, plan_batches, sample_epoch
-from repro.partitioning.base import PartitionRun, run_partitioner
+from repro.partitioning.base import run_partitioner
 from repro.partitioning.registry import make_edge_partitioner, make_vertex_partitioner
 from repro.simulate import distdgl, distgnn
 from repro.simulate.costmodel import ClusterModel, partition_time_model

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.graphs import generators
 
@@ -126,11 +125,6 @@ def generate(name: str, *, scale: float = TEST_SCALE, seed: int = 0) -> pd.DataF
     )
 
 
-def load(spark: SparkSession, name: str, *, scale: float = TEST_SCALE, seed: int = 0) -> DataFrame:
-    """Spark edges DataFrame for paper graph ``name`` at ``scale``."""
-    return generators.to_spark(spark, generate(name, scale=scale, seed=seed))
-
-
 def n_vertices_of(edges: pd.DataFrame) -> int:
     """Vertex-universe size: ids are dense-ish, use max id + 1."""
     if len(edges) == 0:
@@ -158,27 +152,17 @@ def split_to_spark(spark: SparkSession, n_vertices: int, *, seed: int = 7) -> Da
     return spark.createDataFrame(split_vertices(n_vertices, seed=seed))
 
 
-def summary(spark: SparkSession, edges: DataFrame) -> dict:
-    """Graph summary via Spark SQL: |V|, |E|, mean/max degree (undirected view)."""
-    und = (
-        edges.select(
-            F.least("src", "dst").alias("u"), F.greatest("src", "dst").alias("v")
-        )
-        .where(F.col("u") != F.col("v"))
-        .distinct()
-    )
-    verts = und.select(F.col("u").alias("vertex")).union(
-        und.select(F.col("v").alias("vertex"))
-    )
-    deg = verts.groupBy("vertex").agg(F.count("*").alias("degree"))
-    row = deg.agg(
-        F.count("*").alias("n_vertices"),
-        F.mean("degree").alias("mean_degree"),
-        F.max("degree").alias("max_degree"),
-    ).collect()[0]
+def summary(edges: pd.DataFrame) -> dict:
+    """Graph summary: |V|, |E|, mean/max degree of the undirected simple view.
+
+    Vertices are those of degree > 0 in that view.
+    """
+    und = generators.undirected_view(edges)
+    deg = np.bincount(np.concatenate([und["src"].to_numpy(), und["dst"].to_numpy()]))
+    deg = deg[deg > 0]
     return {
-        "n_vertices": int(row["n_vertices"]),
-        "n_edges": int(und.count()),
-        "mean_degree": float(row["mean_degree"]),
-        "max_degree": int(row["max_degree"]),
+        "n_vertices": int(len(deg)),
+        "n_edges": int(len(und)),
+        "mean_degree": float(deg.mean()),
+        "max_degree": int(deg.max()),
     }

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 import pandas as pd
 
 from repro.gnn.sampling import EpochSamplingStats, sampled_edges_per_layer

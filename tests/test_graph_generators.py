@@ -150,14 +150,13 @@ class TestSparkIntegration:
         assert [f.name for f in df.schema.fields] == ["src", "dst"]
         assert df.count() == 2
 
-    def test_summary_matches_pandas(self, spark):
-        from repro.graphs.datasets import load, summary
+    def test_summary_matches_pandas(self):
+        from repro.graphs.datasets import summary
 
         pdf = generate("OR", scale=1e-4, seed=0)
-        s = summary(spark, generators.to_spark(spark, pdf))
+        s = summary(pdf)
         deg = pd.concat([pdf["src"], pdf["dst"]]).value_counts()
         assert s["n_edges"] == len(pdf)
         assert s["n_vertices"] == len(deg)
         assert s["max_degree"] == deg.max()
         assert np.isclose(s["mean_degree"], deg.mean())
-        assert load(spark, "OR", scale=1e-4, seed=0).count() == len(pdf)

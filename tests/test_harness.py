@@ -1,6 +1,5 @@
 """Integration tests for the experiment harness and table assembly."""
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.exp import tables
@@ -117,20 +116,6 @@ class TestTables:
         v = t.loc["EU", "HEP100"]
         assert v is None or v > 0
 
-    def test_render_handles_no(self):
-        t = pd.DataFrame({"A": [None, 1.5]}, index=["G1", "G2"])
-        md = tables.render_amortization(t)
-        assert "no" in md and "1.50" in md
-
-    def test_render_markdown_plain(self):
-        df = pd.DataFrame({"x": [1.0]}, index=["r"])
-        md = tables.render_markdown(df)
-        assert md.startswith("| Graph | x |")
-
     def test_mean_speedups_excludes_random(self, gnn_suite):
         sp = tables.mean_speedups(gnn_suite)
         assert "Random" not in set(sp["partitioner"])
-
-    def test_quality_table_unique_rows(self, gnn_suite):
-        q = tables.quality_table(gnn_suite, ["rf", "vertex_balance"])
-        assert not q.duplicated(["graph", "partitioner", "k"]).any()

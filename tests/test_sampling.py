@@ -179,12 +179,6 @@ class TestSampleEpoch:
     def test_input_vertex_balance_at_least_one(self, stats):
         assert stats.input_vertex_balance() >= 1.0
 
-    def test_straggler_is_max(self, stats):
-        s = stats.straggler_per_step("sampled_edges")
-        for step in range(stats.n_steps):
-            sub = stats.per_step[stats.per_step["step"] == step]
-            assert s[step] == sub["sampled_edges"].max()
-
     def test_per_layer_counts_sum_to_total(self, stats):
         per_layer = sampled_edges_per_layer(stats.sampled)
         assert per_layer["n"].sum() == len(stats.sampled)
