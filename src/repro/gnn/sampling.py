@@ -15,7 +15,8 @@ frontier is expanded hop by hop with numpy. A source with more neighbours
 than the hop's fanout keeps the ``fanout`` neighbours of smallest rank,
 ties broken by ``dst``; the rank is a 32-bit hash of
 (seed, hop, worker, step, src, dst), so the sample depends on nothing but
-its inputs. The per-step statistics are computed with numpy too. Paper
+its inputs. The per-step statistics, among them each hop's sampled-edge
+count that the phase-time model reads, are computed with numpy too. Paper
 fanouts (Section 5.1): 2-layer (25, 20), 3-layer (15, 10, 5), 4-layer
 (10, 10, 5, 5); global batch size 1024 split evenly across workers.
 """
@@ -43,8 +44,8 @@ class EpochSamplingStats:
     k: int
     n_layers: int
     global_batch: int
-    # columns: worker, step, sampled_edges, input_vertices, remote_inputs,
-    # remote_accesses
+    # columns: worker, step, input_vertices, remote_inputs, remote_accesses,
+    # hop0_edges .. hop{n_layers-1}_edges, sampled_edges (their sum)
     per_step: pd.DataFrame
     # raw sampled edges: worker, step, src, dst, layer
     sampled: pd.DataFrame
@@ -52,6 +53,10 @@ class EpochSamplingStats:
     @property
     def n_steps(self) -> int:
         return int(self.per_step["step"].max()) + 1 if len(self.per_step) else 0
+
+    def hop_edges(self, hop: int) -> np.ndarray:
+        """Sampled edges of hop ``hop`` for each row of ``per_step``."""
+        return self.per_step[f"hop{hop}_edges"].to_numpy()
 
     def epoch_total(self, col: str) -> float:
         return float(self.per_step[col].sum())
@@ -133,8 +138,10 @@ def sample_epoch(
     # A frontier entry is one int64 key, (worker * n_steps + step) * n + vertex.
     n_steps = int(seeds["step"].max()) + 1 if len(seeds) else 1
     ws = seeds["worker"].to_numpy(np.int64) * n_steps + seeds["step"].to_numpy(np.int64)
+    n_ws = int(ws.max(initial=-1)) + 1
     frontier = np.unique(ws * n + seeds["vertex"].to_numpy(np.int64))
     parts = []  # per hop: (worker * n_steps + step, src, dst)
+    hop_edges = []  # per hop: sampled edges per worker * n_steps + step
     for hop, fan in enumerate(fanouts):
         ws, v = np.divmod(frontier, n)
         row, cand = _expand(indptr, nbr, v)
@@ -162,6 +169,7 @@ def sample_epoch(
         row, cand = row[keep], cand[keep]
         hop_ws = ws[row]
         parts.append((hop_ws, v[row], cand))
+        hop_edges.append(np.bincount(hop_ws, minlength=n_ws))
         frontier = np.union1d(frontier, hop_ws * n + cand)
     out_ws, out_src, out_dst = (np.concatenate(c) for c in zip(*parts))
     sampled = pd.DataFrame(
@@ -174,7 +182,7 @@ def sample_epoch(
         }
     )
     return _stats_from_sampled(
-        seeds, sampled, owner_of, len(fanouts), k, global_batch or 0
+        seeds, sampled, hop_edges, n_steps, owner_of, k, global_batch or 0
     )
 
 
@@ -197,19 +205,23 @@ def _fold(h: np.ndarray, x) -> np.ndarray:
 def _stats_from_sampled(
     seeds: pd.DataFrame,
     sampled: pd.DataFrame,
+    hop_edges: list[np.ndarray],
+    n_steps: int,
     owner_of: np.ndarray,
-    n_layers: int,
     k: int,
     global_batch: int,
 ) -> EpochSamplingStats:
     """Numpy reduction of the sampled-edge table into per-step statistics.
 
+    ``hop_edges[h]`` counts hop ``h``'s sampled edges per
+    ``worker * n_steps + step``; it becomes the ``hop{h}_edges`` columns.
     A vertex first reached at frontier-depth ``f`` (seeds: f=0; a neighbor
     sampled in layer l: f=l+1) is part of the sampling frontier for layers
     f..n_layers-1, so a *remote* vertex incurs ``n_layers - f`` remote
     sampling accesses, and every remote input vertex incurs one feature
     fetch.
     """
+    n_layers = len(hop_edges)
     first = pd.concat(
         [
             seeds.assign(first=0)[["worker", "step", "vertex", "first"]],
@@ -230,13 +242,10 @@ def _stats_from_sampled(
         remote_inputs=("remote", "sum"),
         remote_accesses=("remote_accesses", "sum"),
     ).reset_index()
-    edge_counts = (
-        sampled.groupby(["worker", "step"]).size().rename("sampled_edges").reset_index()
-    )
-    per_step = per_step.merge(edge_counts, on=["worker", "step"], how="left").fillna(
-        {"sampled_edges": 0}
-    )
-    per_step["sampled_edges"] = per_step["sampled_edges"].astype(np.int64)
+    ws = per_step["worker"].to_numpy() * n_steps + per_step["step"].to_numpy()
+    for hop, counts in enumerate(hop_edges):
+        per_step[f"hop{hop}_edges"] = counts[ws]
+    per_step["sampled_edges"] = sum(hop_edges)[ws]
     per_step["remote_inputs"] = per_step["remote_inputs"].astype(np.int64)
     return EpochSamplingStats(
         k=k,
@@ -245,8 +254,3 @@ def _stats_from_sampled(
         per_step=per_step,
         sampled=sampled,
     )
-
-
-def sampled_edges_per_layer(sampled: pd.DataFrame) -> pd.DataFrame:
-    """(worker, step, layer) -> edge count; used by the phase-time model."""
-    return sampled.groupby(["worker", "step", "layer"]).size().rename("n").reset_index()

@@ -77,7 +77,6 @@ class PartitionRun:
     """One timed partitioning execution plus its assignment."""
 
     partitioner: str
-    category: str
     cut_type: str
     k: int
     seconds: float
@@ -120,7 +119,6 @@ def run_partitioner(
         )
     return PartitionRun(
         partitioner=p.name,
-        category=p.category,
         cut_type=p.cut_type,
         k=k,
         seconds=seconds,
@@ -128,13 +126,6 @@ def run_partitioner(
     )
 
 
-_EDGE_ASSIGN_SCHEMA = T.StructType(
-    [
-        T.StructField("src", T.LongType(), False),
-        T.StructField("dst", T.LongType(), False),
-        T.StructField("part", T.LongType(), False),
-    ]
-)
 _VERTEX_ASSIGN_SCHEMA = T.StructType(
     [
         T.StructField("vertex", T.LongType(), False),
@@ -144,9 +135,9 @@ _VERTEX_ASSIGN_SCHEMA = T.StructType(
 
 
 def assignment_to_spark(spark: SparkSession, run: PartitionRun) -> DataFrame:
-    """Lift a run's assignment table into Spark for the SQL quality metrics."""
-    schema = _EDGE_ASSIGN_SCHEMA if run.cut_type == VERTEX_CUT else _VERTEX_ASSIGN_SCHEMA
-    return spark.createDataFrame(run.assignment, schema=schema)
+    """Lift a vertex-partitioning run's (vertex, part) table into Spark for
+    the SQL quality metrics."""
+    return spark.createDataFrame(run.assignment, schema=_VERTEX_ASSIGN_SCHEMA)
 
 
 def degrees_of(edges: pd.DataFrame, n_vertices: int) -> np.ndarray:
@@ -157,15 +148,17 @@ def degrees_of(edges: pd.DataFrame, n_vertices: int) -> np.ndarray:
     return deg
 
 
-def build_csr(edges: pd.DataFrame, n_vertices: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def build_csr(
+    src: np.ndarray, dst: np.ndarray, n_vertices: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR adjacency (indptr, neighbor, edge_id) over the undirected view.
 
-    Every undirected edge appears twice (once per endpoint); ``edge_id`` maps
-    each incidence back to its row in ``edges`` so edge partitioners can
-    translate vertex-local decisions into edge assignments.
+    Every undirected edge appears twice (once per endpoint), and each
+    vertex's neighbours keep edge order under the stable sort. ``edge_id``
+    maps each incidence back to its edge index, so edge partitioners can
+    translate vertex-local decisions into edge assignments and weighted
+    graphs can gather per-incidence weights as ``weights[edge_id]``.
     """
-    src = edges["src"].to_numpy(np.int64)
-    dst = edges["dst"].to_numpy(np.int64)
     m = len(src)
     ends = np.concatenate([src, dst])
     other = np.concatenate([dst, src])

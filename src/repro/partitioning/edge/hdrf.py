@@ -22,6 +22,44 @@ import numpy as np
 from repro.partitioning.base import EdgePartitioner
 
 
+def stream_edges(
+    src: np.ndarray,
+    dst: np.ndarray,
+    idx: np.ndarray,
+    member: np.ndarray,
+    loads: np.ndarray,
+    lam: float,
+    eps: float,
+) -> np.ndarray:
+    """Score the edges ``idx`` one at a time, in order; their partition ids.
+
+    ``member`` (k x n_vertices replica sets) and ``loads`` (edges per
+    partition) are the state to start from and are updated in place. The
+    partial degrees count only the edges streamed here.
+    """
+    us, vs = src[idx], dst[idx]
+    partial = np.zeros(member.shape[1], dtype=np.float64)
+    out = np.empty(len(idx), dtype=np.int64)
+    for i in range(len(idx)):
+        u, v = us[i], vs[i]
+        partial[u] += 1.0
+        partial[v] += 1.0
+        du, dv = partial[u], partial[v]
+        theta_u = du / (du + dv)
+        theta_v = 1.0 - theta_u
+        score = member[:, u] * (2.0 - theta_u) + member[:, v] * (2.0 - theta_v)
+        maxload = loads.max()
+        minload = loads.min()
+        if maxload > minload:
+            score = score + lam * (maxload - loads) / (eps + maxload - minload)
+        p = int(np.argmax(score))
+        out[i] = p
+        member[p, u] = True
+        member[p, v] = True
+        loads[p] += 1.0
+    return out
+
+
 class HDRFPartitioner(EdgePartitioner):
     name = "HDRF"
     category = "stateful streaming"
@@ -33,27 +71,8 @@ class HDRFPartitioner(EdgePartitioner):
     def assign(self, edges, k, *, n_vertices, seed=0, split=None):
         src = edges["src"].to_numpy(np.int64)
         dst = edges["dst"].to_numpy(np.int64)
-        m = len(src)
-        member = np.zeros((k, n_vertices), dtype=bool)  # replica sets A(v)
-        partial = np.zeros(n_vertices, dtype=np.float64)
-        loads = np.zeros(k, dtype=np.float64)
-        out = np.empty(m, dtype=np.int64)
-        lam, eps = self.lam, self.eps
-        for i in range(m):
-            u, v = src[i], dst[i]
-            partial[u] += 1.0
-            partial[v] += 1.0
-            du, dv = partial[u], partial[v]
-            theta_u = du / (du + dv)
-            theta_v = 1.0 - theta_u
-            score = member[:, u] * (2.0 - theta_u) + member[:, v] * (2.0 - theta_v)
-            maxload = loads.max()
-            minload = loads.min()
-            if maxload > minload:
-                score = score + lam * (maxload - loads) / (eps + maxload - minload)
-            p = int(np.argmax(score))
-            out[i] = p
-            member[p, u] = True
-            member[p, v] = True
-            loads[p] += 1.0
-        return out
+        return stream_edges(
+            src, dst, np.arange(len(src)),
+            np.zeros((k, n_vertices), dtype=bool), np.zeros(k, dtype=np.float64),
+            self.lam, self.eps,
+        )

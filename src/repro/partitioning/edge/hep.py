@@ -26,6 +26,7 @@ import heapq
 import numpy as np
 
 from repro.partitioning.base import EdgePartitioner, build_csr, degrees_of
+from repro.partitioning.edge.hdrf import stream_edges
 
 
 def _ne_expand(
@@ -45,9 +46,7 @@ def _ne_expand(
     parts = np.full(m, -1, dtype=np.int64)
     if m == 0:
         return parts
-    import pandas as pd
-
-    indptr, nbr, eid = build_csr(pd.DataFrame({"src": src, "dst": dst}), n_vertices)
+    indptr, nbr, eid = build_csr(src, dst, n_vertices)
     un_deg = np.diff(indptr).astype(np.int64)  # unassigned incident edges
     target = int(np.ceil(m / k))
     assigned_total = 0
@@ -127,30 +126,14 @@ class HEPPartitioner(EdgePartitioner):
         low_parts = _ne_expand(src[low_idx], dst[low_idx], n_vertices, k, rng)
         out[low_idx] = low_parts
 
-        # Streaming phase for edges touching high-degree vertices, HDRF-style,
-        # seeded with the replicas the in-memory phase created.
+        # Streaming phase for edges touching high-degree vertices: HDRF,
+        # seeded with the replicas and loads the in-memory phase created.
         member = np.zeros((k, n_vertices), dtype=bool)
         member[low_parts, src[low_idx]] = True
         member[low_parts, dst[low_idx]] = True
         loads = np.bincount(low_parts, minlength=k).astype(np.float64)
-        partial = np.zeros(n_vertices, dtype=np.float64)
-        lam, eps = self.lam, 1e-9
-        for i in np.flatnonzero(~low_edge):
-            u, v = src[i], dst[i]
-            partial[u] += 1.0
-            partial[v] += 1.0
-            du, dv = partial[u], partial[v]
-            theta_u = du / (du + dv)
-            score = member[:, u] * (2.0 - theta_u) + member[:, v] * (1.0 + theta_u)
-            maxload = loads.max()
-            minload = loads.min()
-            if maxload > minload:
-                score = score + lam * (maxload - loads) / (eps + maxload - minload)
-            p = int(np.argmax(score))
-            out[i] = p
-            member[p, u] = True
-            member[p, v] = True
-            loads[p] += 1.0
+        high_idx = np.flatnonzero(~low_edge)
+        out[high_idx] = stream_edges(src, dst, high_idx, member, loads, self.lam, 1e-9)
         return out
 
 

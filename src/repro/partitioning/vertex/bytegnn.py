@@ -30,7 +30,9 @@ class ByteGNNPartitioner(VertexPartitioner):
 
     def assign(self, edges, k, *, n_vertices, seed=0, split=None):
         rng = np.random.default_rng(seed)
-        indptr, nbr, _ = build_csr(edges, n_vertices)
+        indptr, nbr, _ = build_csr(
+            edges["src"].to_numpy(np.int64), edges["dst"].to_numpy(np.int64), n_vertices
+        )
         if split is not None:
             train = split.loc[split["role"] == "train", "vertex"].to_numpy(np.int64)
         else:  # fall back to the paper's 10% random training split

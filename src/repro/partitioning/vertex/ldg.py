@@ -27,7 +27,9 @@ class LDGPartitioner(VertexPartitioner):
 
     def assign(self, edges, k, *, n_vertices, seed=0, split=None):
         rng = np.random.default_rng(seed)
-        indptr, nbr, _ = build_csr(edges, n_vertices)
+        indptr, nbr, _ = build_csr(
+            edges["src"].to_numpy(np.int64), edges["dst"].to_numpy(np.int64), n_vertices
+        )
         out = np.full(n_vertices, -1, dtype=np.int64)
         loads = np.zeros(k, dtype=np.float64)
         cap = self.alpha * n_vertices / k

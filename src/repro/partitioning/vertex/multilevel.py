@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.partitioning.base import build_csr
+
 COARSE_PER_PART = 24
 
 
@@ -37,24 +39,13 @@ class _Level:
     cmap: np.ndarray | None  # fine-vertex -> this level's vertex (None at finest)
 
 
-def _csr(n: int, eu: np.ndarray, ev: np.ndarray, ew: np.ndarray):
-    a = np.concatenate([eu, ev])
-    b = np.concatenate([ev, eu])
-    w = np.concatenate([ew, ew])
-    order = np.argsort(a, kind="stable")
-    a, b, w = a[order], b[order], w[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, a + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, b, w
-
-
 def _contract(
     eu: np.ndarray, ev: np.ndarray, ew: np.ndarray, vwgt: np.ndarray, rng: np.random.Generator
 ) -> _Level | None:
     """One heavy-edge-matching contraction; None if it no longer shrinks."""
     n = len(vwgt)
-    indptr, nbr, w = _csr(n, eu, ev, ew)
+    indptr, nbr, eid = build_csr(eu, ev, n)
+    w = ew[eid]
     match = np.full(n, -1, dtype=np.int64)
     for v in rng.permutation(n):
         if match[v] >= 0:
@@ -110,7 +101,7 @@ def coarsen(
 def initial_partition(level: _Level, k: int, rng: np.random.Generator) -> np.ndarray:
     """Greedy region growing on the coarsest graph."""
     n = len(level.vwgt)
-    indptr, nbr, _ = _csr(n, level.eu, level.ev, level.ew)
+    indptr, nbr, _ = build_csr(level.eu, level.ev, n)
     part = np.full(n, -1, dtype=np.int64)
     total = level.vwgt.sum()
     target = total / k
@@ -220,7 +211,8 @@ def refine_fm(
     import heapq
 
     n = len(level.vwgt)
-    indptr, nbr, w = _csr(n, level.eu, level.ev, level.ew)
+    indptr, nbr, eid = build_csr(level.eu, level.ev, n)
+    w = level.ew[eid]
     cap = _cap(level.vwgt, k, alpha)
     part = part.copy()
     load = np.zeros(k, dtype=np.float64)

@@ -31,13 +31,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 BYTES_PER_SCALAR = 4
 
 
 def layer_flops(
-    kind: str, n_vertices: int, n_edges: int, d_in: int, d_out: int
-) -> float:
-    """Approximate forward flops of one GNN layer.
+    kind: str,
+    n_vertices: int | np.ndarray,
+    n_edges: int | np.ndarray,
+    d_in: int,
+    d_out: int,
+) -> float | np.ndarray:
+    """Approximate forward flops of one GNN layer, element-wise over arrays.
 
     Dense transform: 2 * n * d_in * d_out (x2 for GraphSage's two weight
     matrices); aggregation: ~2 * m * d; GAT pays an extra attention term

@@ -127,12 +127,7 @@ def epoch_metrics(
     comm = 0.0
     net_bytes = 0.0
     for d_in, d_out in zip(dims[:-1], dims[1:]):
-        fl = np.array(
-            [
-                layer_flops(cfg.kind, v, e, d_in, d_out)
-                for v, e in zip(stats.vertices, stats.edges)
-            ]
-        )
+        fl = layer_flops(cfg.kind, stats.vertices, stats.edges, d_in, d_out)
         # forward + backward ~ 3x forward flops
         compute += cluster.compute_seconds(float(fl.max())) * 3.0
         layer_bytes = stats.replicas * d_out * BYTES_PER_SCALAR * 2

@@ -215,6 +215,14 @@ class TestHEP:
         assert hep10().name == "HEP10"
         assert hep100().name == "HEP100"
 
+    def test_all_streamed_equals_hdrf(self, eu_graph):
+        # tau=0.01 puts every vertex above the threshold, so the NE phase
+        # gets no edge and the streaming phase is HDRF from empty state.
+        edges, n = eu_graph
+        hep = HEPPartitioner(tau=0.01).assign(edges, 8, n_vertices=n)
+        hdrf = HDRFPartitioner().assign(edges, 8, n_vertices=n)
+        np.testing.assert_array_equal(hep, hdrf)
+
     def test_hep_best_rf_on_locality_graph(self, eu_graph):
         edges, n = eu_graph
         rf_hep = _quality(run_partitioner(hep100(), edges, 8, n_vertices=n).assignment, 8)[0]

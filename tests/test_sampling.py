@@ -12,7 +12,6 @@ from repro.gnn.sampling import (
     EpochSamplingStats,
     plan_batches,
     sample_epoch,
-    sampled_edges_per_layer,
 )
 from repro.partitioning.base import run_partitioner
 from repro.partitioning.vertex.metis_like import MetisLikePartitioner
@@ -180,9 +179,14 @@ class TestSampleEpoch:
         assert stats.input_vertex_balance() >= 1.0
 
     def test_per_layer_counts_sum_to_total(self, stats):
-        per_layer = sampled_edges_per_layer(stats.sampled)
-        assert per_layer["n"].sum() == len(stats.sampled)
-        assert per_layer["n"].sum() == stats.epoch_total("sampled_edges")
+        hops = [stats.hop_edges(h) for h in range(stats.n_layers)]
+        np.testing.assert_array_equal(sum(hops), stats.per_step["sampled_edges"])
+        assert sum(h.sum() for h in hops) == len(stats.sampled)
+        steps = pd.MultiIndex.from_frame(stats.per_step[["worker", "step"]])
+        per_layer = stats.sampled.groupby(["layer", "worker", "step"]).size()
+        for h in range(stats.n_layers):
+            want = per_layer.xs(h).reindex(steps, fill_value=0)
+            np.testing.assert_array_equal(stats.hop_edges(h), want)
 
 
 class TestSamplingSemantics:

@@ -1,9 +1,10 @@
 """Tests for the cost model, DistGNN/DistDGL simulators and amortization."""
+import pandas as pd
 import pytest
 
 from repro.graphs.datasets import generate, n_vertices_of, split_vertices
 from repro.graphs.generators import symmetrized, to_spark, undirected_view
-from repro.gnn.sampling import FANOUTS, plan_batches, sample_epoch
+from repro.gnn.sampling import FANOUTS, EpochSamplingStats, plan_batches, sample_epoch
 from repro.partitioning.base import run_partitioner
 from repro.partitioning.edge.hep import hep100
 from repro.partitioning.edge.random_ep import RandomEdgePartitioner
@@ -167,6 +168,52 @@ class TestDistDGLPhases:
     def test_network_bytes_formula(self, sampled):
         nb = distdgl.network_bytes(sampled, self.cfg(feature=32))
         assert nb == sampled.epoch_total("remote_inputs") * 32 * 4
+
+
+class TestPhaseTimesByHand:
+    """Phase times of a hand-built epoch: two workers, two steps, L=2.
+
+    Worker 0 samples no edge at step 1, so it does no forward work there
+    although its dense term would be 384 flops, more than worker 1's 232.
+    Every cluster constant is 1, so seconds equal the counted events.
+    """
+
+    def test_exact_phases(self):
+        per_step = pd.DataFrame(
+            {
+                "worker": [0, 1, 0, 1],
+                "step": [0, 0, 1, 1],
+                "input_vertices": [5, 3, 2, 1],
+                "remote_inputs": [2, 1, 0, 1],
+                "remote_accesses": [3, 1, 0, 2],
+                "hop0_edges": [2, 2, 0, 1],
+                "hop1_edges": [3, 0, 0, 2],
+                "sampled_edges": [5, 2, 0, 3],
+            }
+        )
+        # phase_times reads only per_step.
+        stats = EpochSamplingStats(
+            k=2, n_layers=2, global_batch=4, per_step=per_step, sampled=None
+        )
+        cluster = ClusterModel(
+            flops_per_sec=1.0, net_bandwidth=1.0, remote_access_cost=1.0,
+            samp_edge_cost=1.0, local_read_cost=1.0, update_cost=1.0,
+        )
+        cfg = distgnn.GNNConfig(feature=8, hidden=4, layers=2)
+        ph = distdgl.phase_times(stats, cfg, cluster, (25, 20))
+        # sampling = edges + remote accesses: max(8, 3) + max(0, 5).
+        assert ph.sampling == 13.0
+        # fetch = 32 bytes per remote input + 1 per local input:
+        # max(67, 34) + max(2, 32).
+        assert ph.feature_fetch == 99.0
+        # sage flops per layer = 4 n d_in d_out + 2 e d_in with
+        # n = min(inputs, e + 4); layer 0 takes hop 1 (8 -> 4), layer 1
+        # hop 0 (4 -> 4). Step 0: max(688 + 336, 384 + 208); step 1:
+        # max(0, 160 + 72).
+        assert ph.forward == 1256.0
+        # backward = 2 forward + per-step all-reduce of 96 scalars x 4 bytes.
+        assert ph.backward == 2 * 1256.0 + 2 * 384.0
+        assert ph.update == 2.0
 
 
 class TestAmortization:
